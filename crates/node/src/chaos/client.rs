@@ -10,7 +10,6 @@
 //! retry timer; the reply cache and dedup horizons on the node side make
 //! the retries idempotent.
 
-use crate::chaos::actor::MAX_CLIENT_RETRIES;
 use crate::chaos::token;
 use csm_network::auth::KeyRegistry;
 use csm_network::NodeId;
@@ -18,6 +17,9 @@ use csm_transport::sim::SimNet;
 use csm_transport::{Frame, Payload};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// Client retries give up after this many rebroadcasts.
+const MAX_CLIENT_RETRIES: u32 = 30;
 
 /// Generates the command vector for `(stream, shard, input_dim)` — a
 /// plain fn pointer so swarms stay `Debug` and runs stay replayable (the

@@ -3,11 +3,12 @@
 //! A discrete-event simulation of a whole CSM cluster — gateways,
 //! durable stores, consensus backends, recovery paths, and a client
 //! swarm — driven by a single seed on a virtual clock. The network is
-//! the seeded [`csm_transport::sim::SimNet`] fabric; every node is a
-//! sans-I/O `actor::NodeActor` mirroring the `gateway_loop` round
-//! structure event-by-event, so protocol decisions (staging, exchange,
-//! decode, desync, resync, WAL-before-ack) are the *same code paths'
-//! semantics* exercised without threads or wall-clock time.
+//! the seeded [`csm_transport::sim::SimNet`] fabric, and every node is
+//! the shipped [`crate::machine::NodeMachine`] — the same round code the
+//! wall-clock gateway runs — driven by SimNet deliveries and timers
+//! instead of a transport and wall time. The runner itself keeps only
+//! harness concerns: the MAC check a transport would make, crash and
+//! restart epochs, the torn-snapshot fault, and the audit witnesses.
 //!
 //! ## The replay contract
 //!
@@ -52,7 +53,6 @@
 //! desync/resync flow — exercised by the `asymmetric_delay_leader`
 //! scenario. See `docs/CHAOS.md`.
 
-pub mod actor;
 pub mod client;
 pub mod runner;
 pub mod scenarios;
@@ -62,25 +62,17 @@ pub mod shrink;
 pub use runner::{replay_check, run_schedule, ChaosConfig, ChaosRun, NodeOutcome, Violation};
 pub use schedule::{random_schedule, random_schedule_sync, ChaosEvent, Schedule};
 
-/// Timer-token kinds (bits 60–63 of a token). Tokens also carry the
-/// arming node's restart epoch (bits 52–59, so a timer armed before a
-/// crash is dead after the restart), a 32-bit `a` field (bits 20–51,
-/// usually the round) and a 20-bit `b` field (bits 0–19, e.g. the PBFT
-/// view).
+/// Timer tokens of the harness's own endpoints (clients and the
+/// schedule): kind in bits 60–63, `a` in bits 20–51 (client index or
+/// event index), `b` in bits 0–19 (sequence number). Node timers are the
+/// machine's own tokens, which leave bits 52–59 free; the runner stamps a
+/// node's restart epoch there, so a timer armed before a crash is dead
+/// after the restart.
 pub(crate) mod token {
-    /// Leader-echo / Dolev–Strong staging deadline (`a` = round).
-    pub(crate) const K_STAGE: u64 = 1;
-    /// Exchange finalization deadline (`a` = round).
-    pub(crate) const K_EXCHANGE: u64 = 2;
-    /// PBFT view timeout (`a` = round, `b` = view).
-    pub(crate) const K_PBFT: u64 = 4;
-    /// Start-next-round pacing tick (`a` = round to start).
-    pub(crate) const K_NEXT: u64 = 5;
-    /// Resync transfer deadline (`a` = attempt counter).
-    pub(crate) const K_RESYNC: u64 = 6;
     /// Client retry tick (owner is the client endpoint).
     pub(crate) const K_RETRY: u64 = 7;
-    /// Schedule control event (owner 0; `a` = event index).
+    /// Schedule control event (owner is the control endpoint; `a` = event
+    /// index).
     pub(crate) const K_CONTROL: u64 = 15;
 
     /// Packs `(kind, epoch, a, b)` into one token.
@@ -96,6 +88,16 @@ pub(crate) mod token {
     /// The token's epoch bits.
     pub(crate) fn epoch(t: u64) -> u64 {
         (t >> 52) & 0xFF
+    }
+
+    /// Stamps `epoch` into a node timer token.
+    pub(crate) fn stamp(t: u64, epoch: u64) -> u64 {
+        (t & !(0xFF << 52)) | ((epoch & 0xFF) << 52)
+    }
+
+    /// A node timer token without its epoch stamp.
+    pub(crate) fn unstamp(t: u64) -> u64 {
+        t & !(0xFF << 52)
     }
 
     /// The token's `a` field.
@@ -114,8 +116,8 @@ pub(crate) mod token {
 
         #[test]
         fn token_roundtrip() {
-            let t = pack(K_PBFT, 3, 123_456, 77);
-            assert_eq!(kind(t), K_PBFT);
+            let t = pack(K_RETRY, 3, 123_456, 77);
+            assert_eq!(kind(t), K_RETRY);
             assert_eq!(epoch(t), 3);
             assert_eq!(a(t), 123_456);
             assert_eq!(b(t), 77);
@@ -127,6 +129,14 @@ pub(crate) mod token {
             assert_eq!(epoch(t), 0xFF);
             assert_eq!(a(t), 0xFFFF_FFFF);
             assert_eq!(b(t), 0xF_FFFF);
+        }
+
+        #[test]
+        fn epoch_stamp_roundtrip() {
+            let t = pack(K_CONTROL, 0, 9, 4);
+            let stamped = stamp(t, 0x1_23);
+            assert_eq!(epoch(stamped), 0x23);
+            assert_eq!(unstamp(stamped), t);
         }
     }
 }

@@ -367,7 +367,10 @@ pub fn mid_transfer_crash() -> Scenario {
         );
     }
     s = s.at(80_000, ChaosEvent::Restart { node: 3 });
-    s = s.at(99_000, ChaosEvent::Crash { node: 3 });
+    // the restart asks peers for state at once (the startup transfer),
+    // and every chunk spends 4000 ticks on a slowed link: 2000 ticks in,
+    // the transfer is in flight
+    s = s.at(82_000, ChaosEvent::Crash { node: 3 });
     for peer in 0..3usize {
         s = s.at(
             140_000,

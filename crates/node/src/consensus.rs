@@ -13,34 +13,28 @@
 //!
 //! | backend | assumption | tolerance | messages/round | closes the hole? |
 //! |---|---|---|---|---|
-//! | [`LeaderEcho`] | synchrony | `b < N` crash, equivocation probabilistic | `O(N)` | no |
-//! | [`DolevStrong`] | synchrony (`Δ`) | any `b < N` | `O(N²)` (≤ 2 relays/node) | yes |
-//! | [`PbftConsensus`] | partial synchrony | `b < N/3` | `O(N²)` per view | yes |
+//! | [`ConsensusKind::LeaderEcho`] | synchrony | `b < N` crash, equivocation probabilistic | `O(N)` | no |
+//! | [`ConsensusKind::DolevStrong`] | synchrony (`Δ`) | any `b < N` | `O(N²)` (≤ 2 relays/node) | yes |
+//! | [`ConsensusKind::Pbft`] | partial synchrony | `b < N/3` | `O(N²)` per view | yes |
 //!
-//! Every backend implements [`BatchConsensus`]: the gateway loop hands it
-//! the runtime, the round, this node's proposal, and the batch-validity
-//! predicate, and gets back the agreed `Stage` rows (or `None`, which
-//! maps to the deterministic empty-batch fallback every honest node
-//! shares). Which backend committed each round is recorded in the durable
-//! gateway's WAL rows (`csm_storage::CommitRecord::protocol`).
+//! All three run as event-driven staging steps inside
+//! [`crate::machine::NodeMachine`]: the machine hands each its round,
+//! this node's proposal, and the batch-validity predicate, and executes
+//! the agreed `Stage` rows — or, when the protocol decides nothing, the
+//! deterministic empty-batch fallback every honest node shares. This
+//! module holds the backend selector, the staging faults, and the PBFT
+//! wire mapping. Which backend committed each round is recorded in the
+//! durable gateway's WAL rows (`csm_storage::CommitRecord::protocol`).
 
-use crate::runtime::NodeRuntime;
-use csm_consensus::batch::{
-    BatchRows, DsBatch, DsRelay, PbftBatch, PbftBatchConfig, PbftBatchMsg, PreparedBatch,
-    ViewChangeVote,
-};
-use csm_network::auth::{KeyRegistry, Signature};
+use csm_consensus::batch::{BatchRows, PbftBatchMsg, PreparedBatch, ViewChangeVote};
+use csm_network::auth::Signature;
 use csm_network::NodeId;
 use csm_storage::{PROTOCOL_DOLEV_STRONG, PROTOCOL_LEADER_ECHO, PROTOCOL_PBFT};
-use csm_telemetry::{Event, Phase};
 use csm_transport::{
-    Payload, PreparedCertWire, Transport, ViewChangeWire, PHASE_COMMIT, PHASE_PREPARE,
-    PHASE_PRE_PREPARE,
+    Payload, PreparedCertWire, ViewChangeWire, PHASE_COMMIT, PHASE_PREPARE, PHASE_PRE_PREPARE,
 };
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Which batch-consensus backend a gateway runs (selectable per gateway;
 /// every honest node of a cluster must run the same one).
@@ -83,40 +77,6 @@ impl ConsensusKind {
         match self {
             ConsensusKind::LeaderEcho | ConsensusKind::DolevStrong => assumed_faults + 1,
             ConsensusKind::Pbft => 3 * assumed_faults + 1,
-        }
-    }
-
-    /// Builds the backend for a gateway with the given shape and timing.
-    pub(crate) fn backend<T: Transport>(
-        &self,
-        cfg: &crate::gateway::GatewayConfig,
-        registry: Arc<KeyRegistry>,
-    ) -> Box<dyn BatchConsensus<T>> {
-        assert!(
-            cfg.cluster >= self.min_cluster(cfg.assumed_faults),
-            "{} needs a cluster of at least {} for b = {}",
-            self.as_str(),
-            self.min_cluster(cfg.assumed_faults),
-            cfg.assumed_faults
-        );
-        match self {
-            ConsensusKind::LeaderEcho => Box::new(LeaderEcho {
-                cluster: cfg.cluster,
-                quorum: cfg.quorum(),
-                stage_timeout: cfg.stage_timeout,
-            }),
-            ConsensusKind::DolevStrong => Box::new(DolevStrong {
-                cluster: cfg.cluster,
-                faults: cfg.assumed_faults,
-                relay_delta: cfg.consensus_delta,
-                registry,
-            }),
-            ConsensusKind::Pbft => Box::new(PbftConsensus {
-                cluster: cfg.cluster,
-                faults: cfg.assumed_faults,
-                base_timeout: cfg.stage_timeout,
-                registry,
-            }),
         }
     }
 }
@@ -197,387 +157,87 @@ pub(crate) fn overcap_variant(rows: &BatchRows) -> BatchRows {
     out
 }
 
-/// The equivocating-leader fan-out shared by every backend's fault
-/// driver: the honest `proposal` goes to even-id peers, its truncated
-/// variant to odd-id peers, each wrapped into the backend's own payload
-/// by `payload_for`.
-fn send_equivocation<T: Transport>(
-    rt: &NodeRuntime<T>,
-    cluster: usize,
-    me: usize,
-    proposal: &BatchRows,
-    mut payload_for: impl FnMut(BatchRows) -> Payload,
-) {
-    let alt = equivocation_variant(proposal);
-    for peer in 0..cluster {
-        if peer == me {
-            continue;
-        }
-        let rows = if peer % 2 == 0 {
-            proposal.clone()
-        } else {
-            alt.clone()
-        };
-        rt.send_signed(NodeId(peer), payload_for(rows));
-    }
-}
-
-/// One round's batch-agreement driver. Implementations run their whole
-/// protocol inside [`BatchConsensus::agree`], pumping the runtime's
-/// transport; any non-consensus frames that arrive meanwhile are absorbed
-/// into the runtime's normal buffers.
-pub trait BatchConsensus<T: Transport>: Send + fmt::Debug {
-    /// Which backend this is.
-    fn kind(&self) -> ConsensusKind;
-
-    /// Agrees on `round`'s batch. `proposal` is this node's pending batch
-    /// (used when it leads — or, under PBFT view changes, becomes
-    /// primary); `valid` is the batch-validity predicate (client MACs,
-    /// shard shape, dedup horizon); `stop` is the gateway's shutdown
-    /// flag (PBFT has no safe unilateral timeout, so it waits on
-    /// decision-or-shutdown rather than a deadline). Returns the agreed
-    /// `Stage` rows, or `None` when the protocol decided ⊥ / timed out /
-    /// was stopped — every honest caller then falls back to the same
-    /// empty batch.
-    fn agree(
-        &self,
-        rt: &mut NodeRuntime<T>,
-        round: u64,
-        proposal: BatchRows,
-        valid: &dyn Fn(&[Vec<u64>]) -> bool,
-        fault: StagingFault,
-        stop: &std::sync::atomic::AtomicBool,
-    ) -> Option<BatchRows>;
-}
-
-// ---------------------------------------------------------------------------
-// Leader-echo
-// ---------------------------------------------------------------------------
-
-/// The original staging protocol: the leader proposes its batch as its
-/// `Stage` vote, followers echo a valid proposal bit-for-bit, and a node
-/// adopts at `N − b` identical votes (falling back to the empty batch).
-#[derive(Debug)]
-pub struct LeaderEcho {
-    cluster: usize,
-    quorum: usize,
-    stage_timeout: Duration,
-}
-
-impl<T: Transport> BatchConsensus<T> for LeaderEcho {
-    fn kind(&self) -> ConsensusKind {
-        ConsensusKind::LeaderEcho
-    }
-
-    fn agree(
-        &self,
-        rt: &mut NodeRuntime<T>,
-        round: u64,
-        proposal: BatchRows,
-        valid: &dyn Fn(&[Vec<u64>]) -> bool,
-        fault: StagingFault,
-        _stop: &std::sync::atomic::AtomicBool,
-    ) -> Option<BatchRows> {
-        let leader = (round % self.cluster as u64) as usize;
-        let me = rt.id().0;
-        let sink = Arc::clone(rt.sink());
-        let started = Instant::now();
-        if me == leader {
-            match fault {
-                StagingFault::None => rt.announce_stage(round, proposal),
-                StagingFault::WithholdBatch => {}
-                StagingFault::EquivocateBatch => {
-                    send_equivocation(rt, self.cluster, me, &proposal, |rows| Payload::Stage {
-                        round,
-                        sender: me as u64,
-                        commands: rows,
-                    });
-                }
-                StagingFault::OverCapBatch => {
-                    // followers refuse to echo the ill-formed program, so
-                    // no echo quorum forms and everyone falls back
-                    rt.announce_stage(round, overcap_variant(&proposal));
-                }
-            }
-        } else {
-            let got = rt.wait_for_stage_from(round, leader, self.stage_timeout);
-            // stage-window slack: the part of the follower's proposal
-            // timeout the leader left unused (0 when the window was
-            // exhausted — nothing to reclaim from a silent leader)
-            let slack = if got.is_some() {
-                self.stage_timeout.saturating_sub(started.elapsed())
-            } else {
-                Duration::ZERO
-            };
-            sink.value(me, round, "slack.stage", slack.as_micros() as u64);
-            if let Some(rows) = got {
-                if valid(&rows) {
-                    rt.announce_stage(round, rows);
-                }
-            }
-        }
-        let proposed = Instant::now();
-        sink.phase(
-            me,
+/// The wire payload carrying one PBFT adapter message for `round`.
+pub(crate) fn pbft_to_wire(round: u64, msg: &PbftBatchMsg) -> Payload {
+    match msg {
+        PbftBatchMsg::PrePrepare { view, rows, sig } => Payload::BatchVote {
             round,
-            Phase::ConsensusPropose,
-            proposed.duration_since(started),
-        );
-        let decided = rt.wait_for_stage(round, self.quorum, self.stage_timeout);
-        let decide_wait = proposed.elapsed();
-        sink.phase(me, round, Phase::ConsensusCommit, decide_wait);
-        // consensus-window slack: echo quorum formed with this much of
-        // the vote timeout to spare
-        let slack = if decided.is_some() {
-            self.stage_timeout.saturating_sub(decide_wait)
-        } else {
-            Duration::ZERO
-        };
-        sink.value(me, round, "slack.consensus", slack.as_micros() as u64);
-        decided
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dolev–Strong
-// ---------------------------------------------------------------------------
-
-/// Dolev–Strong authenticated broadcast of the round leader's batch over
-/// `b + 1` wall-clock relay rounds of length
-/// [`GatewayConfig::consensus_delta`](crate::gateway::GatewayConfig::consensus_delta)
-/// each (the synchrony bound Δ). Tolerates **any** `b < N` Byzantine nodes:
-/// an equivocating leader is reduced to ⊥ (the shared empty-batch
-/// fallback) at every honest node, never a split.
-#[derive(Debug)]
-pub struct DolevStrong {
-    cluster: usize,
-    faults: usize,
-    relay_delta: Duration,
-    registry: Arc<KeyRegistry>,
-}
-
-impl DolevStrong {
-    fn broadcast_relay<T: Transport>(&self, rt: &NodeRuntime<T>, round: u64, relay: &DsRelay) {
-        rt.broadcast_signed(Payload::BatchRelay {
+            view: *view,
+            phase: PHASE_PRE_PREPARE,
+            rows: rows.clone(),
+            tag: sig.tag,
+        },
+        PbftBatchMsg::Prepare { view, rows, sig } => Payload::BatchVote {
             round,
-            rows: relay.rows.clone(),
-            chain: relay
-                .chain
-                .iter()
-                .map(|s| (s.signer.0 as u64, s.tag))
-                .collect(),
-        });
-    }
-}
-
-impl<T: Transport> BatchConsensus<T> for DolevStrong {
-    fn kind(&self) -> ConsensusKind {
-        ConsensusKind::DolevStrong
-    }
-
-    fn agree(
-        &self,
-        rt: &mut NodeRuntime<T>,
-        round: u64,
-        proposal: BatchRows,
-        valid: &dyn Fn(&[Vec<u64>]) -> bool,
-        fault: StagingFault,
-        _stop: &std::sync::atomic::AtomicBool,
-    ) -> Option<BatchRows> {
-        let leader = (round % self.cluster as u64) as usize;
-        let me = rt.id().0;
-        let sink = Arc::clone(rt.sink());
-        let mut ds = DsBatch::new(
+            view: *view,
+            phase: PHASE_PREPARE,
+            rows: rows.clone(),
+            tag: sig.tag,
+        },
+        PbftBatchMsg::Commit { view, rows, sig } => Payload::BatchVote {
             round,
-            self.cluster,
-            self.faults,
-            leader,
-            me,
-            Arc::clone(&self.registry),
-        );
-        let started = Instant::now();
-        if me == leader {
-            match fault {
-                StagingFault::None => {
-                    let relay = ds.propose(proposal);
-                    self.broadcast_relay(rt, round, &relay);
-                }
-                StagingFault::WithholdBatch => {}
-                StagingFault::EquivocateBatch => {
-                    send_equivocation(rt, self.cluster, me, &proposal, |rows| {
-                        let chain = [ds.sign_value(&rows)];
-                        Payload::BatchRelay {
-                            round,
-                            rows,
-                            chain: chain.iter().map(|s| (s.signer.0 as u64, s.tag)).collect(),
-                        }
-                    });
-                }
-                StagingFault::OverCapBatch => {
-                    // DS agrees on the bytes; the post-decision validity
-                    // filter rejects them at every honest node alike
-                    let relay = ds.propose(overcap_variant(&proposal));
-                    self.broadcast_relay(rt, round, &relay);
-                }
-            }
-        }
-        // accept and relay through relay round b + 1, plus one further
-        // full relay round of grace: a value extracted by the
-        // latest-entering honest node at the edge of its own round b + 1
-        // must still reach the earliest-entering node (whose clock runs
-        // up to a round-entry skew ahead) — a quarter-round grace would
-        // let those two decide differently
-        let deadline = started + self.relay_delta * (self.faults as u32 + 2);
-        sink.phase(me, round, Phase::ConsensusPropose, started.elapsed());
-        let relay_started = Instant::now();
-        // consensus-window slack: DS always waits out the full relay
-        // schedule, so the gap between the last relay that advanced the
-        // protocol and the deadline is pure reclaimable wait (the leader
-        // needs no messages at all — its slack is the whole window)
-        let mut last_needed = relay_started;
-        while let Some(frame) = rt.poll_consensus(round, deadline) {
-            let Payload::BatchRelay { rows, chain, .. } = frame.payload else {
-                continue; // a PBFT frame under a DS cluster: ignore
-            };
-            let chain: Vec<Signature> = chain
-                .into_iter()
-                .map(|(signer, tag)| Signature {
-                    signer: NodeId(signer as usize),
-                    tag,
-                })
-                .collect();
-            let elapsed = started.elapsed();
-            let ds_round = (elapsed.as_nanos() / self.relay_delta.as_nanos().max(1)) as usize;
-            if let Some(fwd) = ds.on_relay(DsRelay { rows, chain }, ds_round) {
-                last_needed = Instant::now();
-                self.broadcast_relay(rt, round, &fwd);
-            }
-        }
-        sink.value(
-            me,
+            view: *view,
+            phase: PHASE_COMMIT,
+            rows: rows.clone(),
+            tag: sig.tag,
+        },
+        PbftBatchMsg::ViewChange(vc) => Payload::BatchViewChange {
             round,
-            "slack.consensus",
-            deadline.saturating_duration_since(last_needed).as_micros() as u64,
-        );
-        // Dolev–Strong guarantees agreement on the decided *bytes*, not
-        // their validity — unlike PBFT (honest nodes refuse to prepare an
-        // invalid batch) or leader-echo (followers refuse to echo one), a
-        // Byzantine leader's decided value could carry a replayed client
-        // command. The validity predicate is deterministic and identical
-        // on every honest node (client MACs + the committed dedup
-        // horizon), so filtering here keeps agreement intact: all honest
-        // nodes either adopt the batch or fall back to empty together.
-        sink.phase(me, round, Phase::ConsensusRelay, relay_started.elapsed());
-        ds.decide().filter(|rows| valid(rows))
+            vote: vc_to_wire(vc),
+        },
+        PbftBatchMsg::NewView {
+            view,
+            rows,
+            justification,
+        } => Payload::BatchNewView {
+            round,
+            view: *view,
+            rows: rows.clone(),
+            justification: justification.iter().map(vc_to_wire).collect(),
+        },
     }
 }
 
-// ---------------------------------------------------------------------------
-// PBFT
-// ---------------------------------------------------------------------------
-
-/// PBFT three-phase batch consensus (pre-prepare → prepare → commit, with
-/// exponential-backoff view changes rotating away from a faulty primary).
-/// Requires `N ≥ 3b + 1` but **no synchrony assumption**: the view-0
-/// primary is the round leader, and a silent or equivocating primary
-/// costs view changes, not safety. Unlike the synchronous backends, a
-/// withheld round usually still commits a *non-empty* batch — the next
-/// view's primary proposes its own pending batch.
-#[derive(Debug)]
-pub struct PbftConsensus {
-    cluster: usize,
-    faults: usize,
-    base_timeout: Duration,
-    registry: Arc<KeyRegistry>,
-}
-
-/// How often the PBFT driver wakes to check the gateway's stop flag
-/// while blocked waiting for consensus frames (shutdown responsiveness
-/// only — view timeouts are tracked separately).
-const STOP_POLL_INTERVAL: Duration = Duration::from_millis(200);
-
-impl PbftConsensus {
-    pub(crate) fn to_wire(round: u64, msg: &PbftBatchMsg) -> Payload {
-        match msg {
-            PbftBatchMsg::PrePrepare { view, rows, sig } => Payload::BatchVote {
-                round,
-                view: *view,
-                phase: PHASE_PRE_PREPARE,
-                rows: rows.clone(),
-                tag: sig.tag,
-            },
-            PbftBatchMsg::Prepare { view, rows, sig } => Payload::BatchVote {
-                round,
-                view: *view,
-                phase: PHASE_PREPARE,
-                rows: rows.clone(),
-                tag: sig.tag,
-            },
-            PbftBatchMsg::Commit { view, rows, sig } => Payload::BatchVote {
-                round,
-                view: *view,
-                phase: PHASE_COMMIT,
-                rows: rows.clone(),
-                tag: sig.tag,
-            },
-            PbftBatchMsg::ViewChange(vc) => Payload::BatchViewChange {
-                round,
-                vote: vc_to_wire(vc),
-            },
-            PbftBatchMsg::NewView {
-                view,
-                rows,
-                justification,
-            } => Payload::BatchNewView {
-                round,
-                view: *view,
-                rows: rows.clone(),
-                justification: justification.iter().map(vc_to_wire).collect(),
-            },
-        }
-    }
-
-    /// Decodes a wire frame into the adapter message it carries, binding
-    /// inner vote signatures to the frame signer where they are implicit.
-    pub(crate) fn from_wire(payload: Payload, frame_signer: usize) -> Option<PbftBatchMsg> {
-        match payload {
-            Payload::BatchVote {
-                view,
-                phase,
-                rows,
+/// Decodes a wire frame into the adapter message it carries, binding
+/// inner vote signatures to the frame signer where they are implicit.
+pub(crate) fn pbft_from_wire(payload: Payload, frame_signer: usize) -> Option<PbftBatchMsg> {
+    match payload {
+        Payload::BatchVote {
+            view,
+            phase,
+            rows,
+            tag,
+            ..
+        } => {
+            let sig = Signature {
+                signer: NodeId(frame_signer),
                 tag,
-                ..
-            } => {
-                let sig = Signature {
-                    signer: NodeId(frame_signer),
-                    tag,
-                };
-                match phase {
-                    PHASE_PRE_PREPARE => Some(PbftBatchMsg::PrePrepare { view, rows, sig }),
-                    PHASE_PREPARE => Some(PbftBatchMsg::Prepare { view, rows, sig }),
-                    PHASE_COMMIT => Some(PbftBatchMsg::Commit { view, rows, sig }),
-                    _ => None,
-                }
+            };
+            match phase {
+                PHASE_PRE_PREPARE => Some(PbftBatchMsg::PrePrepare { view, rows, sig }),
+                PHASE_PREPARE => Some(PbftBatchMsg::Prepare { view, rows, sig }),
+                PHASE_COMMIT => Some(PbftBatchMsg::Commit { view, rows, sig }),
+                _ => None,
             }
-            Payload::BatchViewChange { vote, .. } => {
-                // a view-change vote travels under its voter's frame MAC
-                if vote.signer as usize != frame_signer {
-                    return None;
-                }
-                Some(PbftBatchMsg::ViewChange(vc_from_wire(vote)))
-            }
-            Payload::BatchNewView {
-                view,
-                rows,
-                justification,
-                ..
-            } => Some(PbftBatchMsg::NewView {
-                view,
-                rows,
-                justification: justification.into_iter().map(vc_from_wire).collect(),
-            }),
-            _ => None,
         }
+        Payload::BatchViewChange { vote, .. } => {
+            // a view-change vote travels under its voter's frame MAC
+            if vote.signer as usize != frame_signer {
+                return None;
+            }
+            Some(PbftBatchMsg::ViewChange(vc_from_wire(vote)))
+        }
+        Payload::BatchNewView {
+            view,
+            rows,
+            justification,
+            ..
+        } => Some(PbftBatchMsg::NewView {
+            view,
+            rows,
+            justification: justification.into_iter().map(vc_from_wire).collect(),
+        }),
+        _ => None,
     }
 }
 
@@ -617,121 +277,6 @@ fn vc_from_wire(vc: ViewChangeWire) -> ViewChangeVote {
             signer: NodeId(vc.signer as usize),
             tag: vc.tag,
         },
-    }
-}
-
-impl<T: Transport> BatchConsensus<T> for PbftConsensus {
-    fn kind(&self) -> ConsensusKind {
-        ConsensusKind::Pbft
-    }
-
-    fn agree(
-        &self,
-        rt: &mut NodeRuntime<T>,
-        round: u64,
-        proposal: BatchRows,
-        valid: &dyn Fn(&[Vec<u64>]) -> bool,
-        fault: StagingFault,
-        stop: &std::sync::atomic::AtomicBool,
-    ) -> Option<BatchRows> {
-        let leader = (round % self.cluster as u64) as usize;
-        let me = rt.id().0;
-        let sink = Arc::clone(rt.sink());
-        let cfg = PbftBatchConfig {
-            n: self.cluster,
-            f: self.faults,
-            round,
-            leader,
-            base_timeout: self.base_timeout,
-        };
-        let mut inst = PbftBatch::new(cfg, me, Arc::clone(&self.registry), proposal.clone());
-        if me == leader {
-            match fault {
-                StagingFault::None => {
-                    for msg in inst.start(valid) {
-                        rt.broadcast_signed(Self::to_wire(round, &msg));
-                    }
-                }
-                StagingFault::WithholdBatch => {}
-                StagingFault::EquivocateBatch => {
-                    send_equivocation(rt, self.cluster, me, &proposal, |rows| {
-                        Self::to_wire(round, &inst.sign_pre_prepare(0, rows))
-                    });
-                }
-                StagingFault::OverCapBatch => {
-                    // honest replicas refuse to prepare the ill-formed
-                    // program; the view change rotates to an honest
-                    // primary whose own batch commits instead
-                    let msg = inst.sign_pre_prepare(0, overcap_variant(&proposal));
-                    rt.broadcast_signed(Self::to_wire(round, &msg));
-                }
-            }
-        }
-        // non-leaders have nothing to send at start: view 0's primary is
-        // the round leader, and everyone else waits for its pre-prepare
-
-        // no unilateral deadline: under partial synchrony a node that
-        // gives up while peers decide would execute a divergent (empty)
-        // batch and fail-stop itself on an honest network that was merely
-        // slow. Decision-or-shutdown are the only exits; view changes
-        // (with exponentially growing timeouts) bound the message load
-        // while waiting for the network to stabilize.
-        let started = Instant::now();
-        let mut cur_view = inst.view();
-        let mut view_started = started;
-        let mut view_deadline = started + inst.config().timeout_of(cur_view);
-        loop {
-            if let Some(rows) = inst.decided() {
-                sink.phase(me, round, Phase::ConsensusCommit, view_started.elapsed());
-                // consensus-window slack: how much of the current view's
-                // timeout provision the decision left unused (PBFT never
-                // waits a window out on the happy path, so this is
-                // provision headroom rather than reclaimable wall-clock)
-                sink.value(
-                    me,
-                    round,
-                    "slack.consensus",
-                    view_deadline
-                        .saturating_duration_since(Instant::now())
-                        .as_micros() as u64,
-                );
-                return Some(rows.clone());
-            }
-            if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                return None; // shutting down: the loop exits right after
-            }
-            let poll_deadline = view_deadline.min(Instant::now() + STOP_POLL_INTERVAL);
-            let out = match rt.poll_consensus(round, poll_deadline) {
-                Some(frame) => {
-                    let signer = frame.sig.signer.0;
-                    match Self::from_wire(frame.payload, signer) {
-                        Some(msg) => inst.on_message(signer, msg, valid),
-                        None => Vec::new(), // a DS frame under a PBFT cluster
-                    }
-                }
-                None if Instant::now() >= view_deadline => {
-                    // the current view timed out: vote to move on
-                    inst.on_timeout(valid)
-                }
-                None => Vec::new(), // stop-poll tick, not a view timeout
-            };
-            for msg in &out {
-                rt.broadcast_signed(Self::to_wire(round, msg));
-            }
-            if inst.view() != cur_view {
-                cur_view = inst.view();
-                // the abandoned view's wall clock is view-change cost
-                sink.phase(
-                    me,
-                    round,
-                    Phase::ConsensusViewChange,
-                    view_started.elapsed(),
-                );
-                sink.event(me, round, None, Event::ViewChange { view: cur_view });
-                view_started = Instant::now();
-                view_deadline = view_started + inst.config().timeout_of(cur_view);
-            }
-        }
     }
 }
 

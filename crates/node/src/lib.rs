@@ -8,22 +8,29 @@
 //! * [`csm_core::engine::RoundEngine`] — the sans-I/O coded-execution
 //!   lifecycle (shared with the simulator; *any*
 //!   [`csm_statemachine::PolyTransition`] machine runs here unchanged).
-//! * [`NodeRuntime`] — the exchange protocol driver (Δ-deadline and
-//!   `N − b` cutoff finalization over [`csm_core::exchange::ReceiverCore`]),
-//!   plus staged-batch gossip for pipelining.
-//! * [`run_node`] — the sequential multi-round node loop.
-//! * [`pipeline::run_pipelined`] — the same loop with round `t + 1`'s
-//!   staging overlapped with round `t`'s execution (§2.2).
-//! * [`gateway::run_gateway`] — the client-serving loop: admit external
-//!   `Submit` frames, agree each round's batch behind a rotating leader,
-//!   answer read-only `Query` frames from committed state, and fan
-//!   `Reply` frames back to clients after commit (the §1/§3 deployment
-//!   model; the client side is the `csm-client` crate).
-//! * [`recovery::run_durable_gateway`] — the same loop with durable coded
-//!   state (`csm-storage`): write-ahead log before every
+//! * [`machine::NodeMachine`] — the client-serving node as one sans-I/O
+//!   state machine: admission, batch agreement under a pluggable
+//!   consensus backend, coded execution, the result exchange, decode,
+//!   the desync check, WAL-before-ack, resync, and query/state/telemetry
+//!   serving. It talks to the world only through [`machine::NodeIo`].
+//! * [`gateway::run_gateway`] — the wall-clock driver of that machine
+//!   over a [`csm_transport::Transport`]: admit external `Submit` frames,
+//!   agree each round's batch behind a rotating leader, answer read-only
+//!   `Query` frames from committed state, and fan `Reply` frames back to
+//!   clients after commit (the §1/§3 deployment model; the client side
+//!   is the `csm-client` crate).
+//! * [`recovery::run_durable_gateway`] — the same driver with durable
+//!   coded state (`csm-storage`): write-ahead log before every
 //!   acknowledgement, periodic coded-state snapshots, and crash
 //!   recovery/rejoin via `snapshot + WAL` replay plus `b + 1`-verified
 //!   state transfer from peers.
+//! * [`chaos`] — the same machine on a seeded virtual-clock network.
+//! * [`NodeRuntime`] — the exchange protocol driver of the script-fed
+//!   loops (Δ-deadline and `N − b` cutoff finalization over
+//!   [`csm_core::exchange::ReceiverCore`]), plus staged-batch gossip for
+//!   pipelining: [`run_node`] is the sequential multi-round loop, and
+//!   [`pipeline::run_pipelined`] overlaps round `t + 1`'s staging with
+//!   round `t`'s execution (§2.2).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -31,17 +38,19 @@
 pub mod chaos;
 pub mod consensus;
 pub mod gateway;
+pub mod machine;
 pub mod pipeline;
 pub mod recovery;
 pub mod runtime;
 
-pub use consensus::{BatchConsensus, ConsensusKind, StagingFault};
+pub use consensus::{ConsensusKind, StagingFault};
 pub use csm_core::digest::digest_results;
 pub use csm_core::engine::{CodedMachine, DecodedRound, RoundCommit, RoundEngine};
 pub use gateway::{run_gateway, GatewayConfig, GatewayReport, GatewaySpec, GatewayStats};
+pub use machine::{NodeIo, NodeMachine};
 pub use pipeline::{run_pipelined, PipelineConfig, PipelineReport};
 pub use recovery::{run_durable_gateway, store_fingerprint, DurabilityConfig, RecoveryInfo};
-pub use runtime::{ExchangeTiming, NodeRuntime, VerifiedState};
+pub use runtime::{ExchangeTiming, NodeRuntime};
 
 use csm_algebra::{Field, Fp61, Gf2_16};
 use csm_core::digest::splitmix64;

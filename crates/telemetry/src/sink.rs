@@ -48,8 +48,8 @@ pub trait Sink: Send + Sync + std::fmt::Debug {
     /// One sample of a named dimensionless value distribution observed
     /// on `node` during `round` (e.g. `batch_size`, or the `slack.*`
     /// window-headroom measurements in microseconds). Defaults to a
-    /// no-op: only aggregating sinks care, and the deterministic
-    /// [`ReplaySink`] must never see timing-dependent samples.
+    /// no-op: only aggregating sinks and the [`ReplaySink`] value log
+    /// care.
     fn value(&self, node: usize, round: u64, name: &str, value: u64) {
         let _ = (node, round, name, value);
     }
@@ -70,10 +70,14 @@ impl Sink for NullSink {
 }
 
 /// A deterministic log sink for tests: sequences without timestamps.
+/// Named values are logged separately with their samples — those are
+/// timing-dependent on a wall clock and deterministic only on a virtual
+/// one (the chaos harness), so traces compare them only there.
 #[derive(Debug, Default)]
 pub struct ReplaySink {
     phases: Mutex<Vec<(usize, u64, Phase)>>,
     events: Mutex<Vec<(usize, u64, Option<usize>, Event)>>,
+    values: Mutex<Vec<(usize, u64, String, u64)>>,
 }
 
 impl ReplaySink {
@@ -91,6 +95,11 @@ impl ReplaySink {
     pub fn event_log(&self) -> Vec<(usize, u64, Option<usize>, Event)> {
         self.events.lock().expect("replay sink poisoned").clone()
     }
+
+    /// The named-value samples recorded so far, in arrival order.
+    pub fn value_log(&self) -> Vec<(usize, u64, String, u64)> {
+        self.values.lock().expect("replay sink poisoned").clone()
+    }
 }
 
 impl Sink for ReplaySink {
@@ -106,6 +115,15 @@ impl Sink for ReplaySink {
             .lock()
             .expect("replay sink poisoned")
             .push((node, round, peer, event));
+    }
+
+    fn value(&self, node: usize, round: u64, name: &str, value: u64) {
+        self.values.lock().expect("replay sink poisoned").push((
+            node,
+            round,
+            name.to_string(),
+            value,
+        ));
     }
 }
 

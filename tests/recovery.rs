@@ -10,10 +10,12 @@ use csm_bench::recovery::{
 use csm_core::digest::digest_results;
 use csm_core::DecoderKind;
 use csm_network::NodeId;
-use csm_node::{cluster_registry, CodedMachine, ExchangeTiming, NodeRuntime, RoundEngine};
+use csm_node::{
+    cluster_registry, BehaviorKind, CodedMachine, DurabilityConfig, ExchangeTiming, GatewayConfig,
+    GatewaySpec, NodeIo, NodeMachine, RoundEngine, StagingFault,
+};
 use csm_statemachine::machines::bank_machine;
-use csm_transport::mem::{MemMesh, MemTransport};
-use csm_transport::{Frame, Payload, Transport};
+use csm_transport::{Frame, Payload};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -83,13 +85,77 @@ fn advanced_cluster(
     (machine, engines, last_results, digest)
 }
 
-/// A mesh split into the rejoiner's endpoint (node 0) and the peers'.
-fn rejoin_mesh(
+/// A [`NodeIo`] for driving one machine by hand: a fixed clock, and the
+/// frames and timers it emits.
+#[derive(Default)]
+struct HandIo {
+    now: u64,
+    sent: Vec<Frame>,
+    timers: Vec<(u64, u64)>,
+}
+
+impl NodeIo for HandIo {
+    fn now(&self) -> u64 {
+        self.now
+    }
+
+    fn send(&mut self, _to: usize, frame: Frame) {
+        self.sent.push(frame);
+    }
+
+    fn broadcast_upto(&mut self, _n: usize, frame: &Frame) {
+        self.sent.push(frame.clone());
+    }
+
+    fn set_timer(&mut self, at: u64, token: u64) {
+        self.timers.push((at, token));
+    }
+}
+
+/// Node 0 of a bank cluster as a durable machine whose store already has
+/// history, started into its `b + 1`-verified startup state transfer;
+/// telemetry goes to the returned recording sink.
+fn rejoiner(
+    machine: &Arc<CodedMachine<Fp61>>,
     registry: &Arc<csm_network::auth::KeyRegistry>,
-) -> (MemTransport, Vec<MemTransport>) {
-    let mut endpoints: Vec<_> = MemMesh::build(Arc::clone(registry)).into_iter().collect();
-    let rejoiner = endpoints.remove(0);
-    (rejoiner, endpoints)
+    b: usize,
+    dir: &std::path::Path,
+) -> (NodeMachine<Fp61>, HandIo, Arc<csm_telemetry::RecordingSink>) {
+    let recording = Arc::new(csm_telemetry::RecordingSink::new());
+    let timing = ExchangeTiming::synchronous(b, Duration::from_millis(50));
+    let cfg = GatewayConfig::new(machine.n(), b, &timing).with_sink(recording.clone());
+    let spec = GatewaySpec {
+        machine: Arc::clone(machine),
+        initial_states: (0..machine.k() as u64)
+            .map(|i| vec![Fp61::from_u64(100 * (i + 1))])
+            .collect(),
+        behavior: BehaviorKind::Honest,
+        staging_fault: StagingFault::None,
+    };
+    let durability = DurabilityConfig::new(dir);
+    let build = || {
+        NodeMachine::new(
+            0,
+            Arc::clone(registry),
+            timing.clone(),
+            &spec,
+            &cfg,
+            Some(&durability),
+        )
+    };
+    // the first life writes the genesis checkpoint; the second finds
+    // history and asks its peers for state
+    build().start(&mut HandIo::default());
+    let mut node = build();
+    let mut io = HandIo::default();
+    node.start(&mut io);
+    assert!(
+        io.sent
+            .iter()
+            .any(|f| matches!(f.payload, Payload::StateRequest { .. })),
+        "a restarted node asks its peers for state"
+    );
+    (node, io, recording)
 }
 
 #[test]
@@ -98,16 +164,18 @@ fn byzantine_state_chunks_cannot_poison_a_rejoiner() {
     // round from 4 answering peers. Byzantine answers: peer 1 serves
     // corrupted results under the honest digest (fails the digest check),
     // peer 2 serves a self-consistent forgery with its own digest (can
-    // never reach b + 1 agreement). The two honest chunks (peers 3, 4)
-    // satisfy need = b + 1 = 2 and the verified state matches the honest
-    // cluster exactly.
+    // never reach b + 1 agreement). Once the first honest chunk (peer 3)
+    // joins peer 1's digest group, need = b + 1 = 2 vouchers agree and the
+    // honest bytes are installed — the rejoiner's coded state then equals
+    // the honest cluster's exactly.
     let n = 6;
     let b = 1;
     let rounds = 3;
     let (machine, engines, results, digest) = advanced_cluster(n, 2, rounds);
     let committed_round = rounds - 1;
     let registry = cluster_registry(n, 99);
-    let (rejoiner_tx, peers) = rejoin_mesh(&registry);
+    let dir = scratch_dir("byzantine-chunks");
+    let (mut node, mut io, recording) = rejoiner(&machine, &registry, b, &dir);
 
     let canonical: Vec<Vec<u64>> = results
         .iter()
@@ -131,29 +199,16 @@ fn byzantine_state_chunks_cannot_poison_a_rejoiner() {
         // peer 5 withholds
     ];
     for (peer, payload) in sends {
-        let frame = Frame::sign(payload, &registry, NodeId(peer));
-        peers[peer - 1]
-            .send(NodeId(0), frame)
-            .expect("deliver chunk");
+        let installed_before = node.recovery().and_then(|r| r.startup_transfer);
+        // below b + 1 honest-digest vouchers nothing is installed
+        assert_eq!(installed_before.is_some(), peer > 3, "peer {peer}");
+        node.on_frame(&mut io, Frame::sign(payload, &registry, NodeId(peer)));
     }
-
-    let timing = ExchangeTiming::synchronous(b, Duration::from_millis(50));
-    let mut rt = NodeRuntime::new(rejoiner_tx, Arc::clone(&registry), timing);
-    let recording = Arc::new(csm_telemetry::RecordingSink::new());
-    rt.set_sink(recording.clone());
-    let vs = rt
-        .wait_for_verified_state::<Fp61>(b + 1, committed_round, Duration::from_secs(2))
-        .expect("honest quorum verifies");
-    assert_eq!(vs.round, committed_round);
-    assert_eq!(vs.digest, digest);
     assert_eq!(
-        vs.results, canonical,
-        "only digest-matching results may be installed"
+        node.recovery().and_then(|r| r.startup_transfer),
+        Some(committed_round)
     );
-    // acceptance fires as soon as b + 1 vouchers are absorbed; the
-    // corrupt-bytes peer also vouches for the honest digest, so the count
-    // may be 2 or 3 depending on arrival order — never fewer
-    assert!(vs.matching > b);
+    assert_eq!(node.round(), committed_round + 1, "resumes after the round");
     // the corrupt-bytes chunk is attributed to its server the moment
     // acceptance fires; the self-consistent forger (peer 2) sits in a
     // different digest group and must never draw a rejection event
@@ -162,43 +217,53 @@ fn byzantine_state_chunks_cannot_poison_a_rejoiner() {
     for peer in [0, 2, 3, 4, 5] {
         assert_eq!(rejected(peer), 0, "peer {peer} served no corrupt chunk");
     }
-
     // re-encoding the verified states at the rejoiner's own evaluation
-    // point reproduces exactly the coded state the honest engines hold
-    let sd = machine.transition().state_dim();
-    let states: Vec<Vec<Fp61>> = vs
-        .results
-        .iter()
-        .map(|row| row.iter().take(sd).map(|&v| Fp61::from_u64(v)).collect())
-        .collect();
-    let coded = machine.encode_state_at(0, &states);
-    assert_eq!(coded, engines[0].coded_state());
+    // point reproduces exactly the coded state the honest engines hold —
+    // only digest-matching results were installed
+    assert_eq!(node.coded_state(), engines[0].coded_state());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn forged_quorum_below_b_plus_one_never_verifies() {
     // b = 2 colluding peers agreeing on a forged (round, digest) stay
-    // below need = 3; the rejoiner keeps waiting (returns None) instead
-    // of installing the forgery — even though the forgery is internally
-    // consistent (its results hash to its claimed digest).
+    // below need = 3; the rejoiner never installs the forgery — even
+    // though it is internally consistent (its results hash to its
+    // claimed digest, and it is well-shaped) — and gives the attempt up when
+    // its window closes.
     let n = 6;
+    let b = 2;
+    let (machine, _, _, _) = advanced_cluster(n, 2, 0);
     let registry = cluster_registry(n, 7);
-    let (rejoiner_tx, peers) = rejoin_mesh(&registry);
-    let forged_results = vec![vec![Fp61::from_u64(5), Fp61::from_u64(5)]];
+    let dir = scratch_dir("forged-quorum");
+    let (mut node, mut io, _) = rejoiner(&machine, &registry, b, &dir);
+    let genesis = node.coded_state().to_vec();
+    // well-shaped for the machine (K = 2 rows of state + output), so
+    // only the voucher count stands between it and installation
+    let rows = vec![vec![5u64, 5], vec![6, 6]];
+    let forged_results: Vec<Vec<Fp61>> = rows
+        .iter()
+        .map(|r| r.iter().map(|&v| Fp61::from_u64(v)).collect())
+        .collect();
     let forged = Payload::StateChunk {
         round: 9,
         digest: digest_results(&forged_results),
-        results: vec![vec![5, 5]],
+        results: rows,
     };
     for peer in [1usize, 2] {
-        let frame = Frame::sign(forged.clone(), &registry, NodeId(peer));
-        peers[peer - 1]
-            .send(NodeId(0), frame)
-            .expect("deliver chunk");
+        node.on_frame(
+            &mut io,
+            Frame::sign(forged.clone(), &registry, NodeId(peer)),
+        );
     }
-    let timing = ExchangeTiming::synchronous(2, Duration::from_millis(50));
-    let mut rt = NodeRuntime::new(rejoiner_tx, Arc::clone(&registry), timing);
-    assert!(rt
-        .wait_for_verified_state::<Fp61>(3, 0, Duration::from_millis(300))
-        .is_none());
+    // the transfer window closes without a verified state
+    let (at, token) = io.timers.pop().expect("transfer deadline armed");
+    io.now = at;
+    node.on_timer(&mut io, token);
+    let recovery = node.recovery().expect("durable");
+    assert_eq!(recovery.startup_transfer, None);
+    assert_eq!(node.stats().resyncs, 0);
+    assert_eq!(node.round(), 0);
+    assert_eq!(node.coded_state(), &genesis[..]);
+    let _ = std::fs::remove_dir_all(&dir);
 }

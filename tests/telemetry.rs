@@ -377,3 +377,116 @@ fn scrape_mid_resync_is_well_formed() {
     assert_eq!(ids.len(), outcome.mid_resync_telemetry.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The phases and named values one trace carries.
+fn trace_shape(
+    phases: &[(usize, u64, Phase)],
+    values: &[(usize, u64, String, u64)],
+) -> (
+    std::collections::BTreeSet<Phase>,
+    std::collections::BTreeSet<String>,
+) {
+    (
+        phases.iter().map(|(_, _, p)| *p).collect(),
+        values.iter().map(|(_, _, name, _)| name.clone()).collect(),
+    )
+}
+
+#[test]
+fn chaos_and_live_gateways_emit_the_same_telemetry() {
+    // one node state machine, two drivers: a durable leader-echo corpus
+    // scenario on the virtual clock and a durable leader-echo mem-mesh
+    // cluster on the wall clock must emit the same phase spans and the
+    // same slack values — and the chaos trace, values included, must
+    // still replay bit for bit (time comes only from the driver)
+    let scenario = csm_chaos::scenarios::churn_during_resync();
+    let chaos = csm_chaos::replay_check(&scenario.config, &scenario.schedule)
+        .expect("chaos trace replays bit for bit");
+    let chaos_shape = trace_shape(&chaos.phases, &chaos.values);
+
+    let (cluster, shards, b, clients) = (4usize, 2usize, 1usize, 2usize);
+    let delta = Duration::from_millis(40);
+    let registry = mesh_registry(cluster, clients, 41);
+    let mut transports = MemMesh::build(Arc::clone(&registry));
+    let client_transports = transports.split_off(cluster);
+    let machine = Arc::new(
+        CodedMachine::<Fp61>::new(
+            cluster,
+            shards,
+            bank_machine(),
+            csm_core::DecoderKind::default(),
+        )
+        .expect("cluster shape"),
+    );
+    let trace = Arc::new(ReplaySink::new());
+    let timing = ExchangeTiming::synchronous(b, delta).with_full_finalize();
+    let gw_cfg = GatewayConfig::new(cluster, b, &timing)
+        .with_batch_cap(2)
+        .with_sink(Arc::clone(&trace) as SharedSink);
+    let stop = Arc::new(AtomicBool::new(false));
+    let dir = scratch_dir("telemetry-parity");
+    let mut nodes = Vec::new();
+    for (id, transport) in transports.into_iter().enumerate() {
+        let (registry, timing, gw_cfg, stop) = (
+            Arc::clone(&registry),
+            timing.clone(),
+            gw_cfg.clone(),
+            Arc::clone(&stop),
+        );
+        let spec = GatewaySpec {
+            machine: Arc::clone(&machine),
+            initial_states: (0..shards)
+                .map(|s| vec![csm_algebra::Field::from_u64(100 * (s as u64 + 1))])
+                .collect(),
+            behavior: BehaviorKind::Honest,
+            staging_fault: StagingFault::None,
+        };
+        let durability = csm_node::DurabilityConfig::new(dir.join(format!("node{id}")));
+        nodes.push(thread::spawn(move || {
+            csm_node::run_durable_gateway(
+                transport,
+                registry,
+                timing,
+                &spec,
+                &gw_cfg,
+                &durability,
+                &stop,
+            )
+        }));
+    }
+    let client_cfg = ClientConfig::new(cluster, b, delta * 8 + Duration::from_millis(500));
+    let committed: usize = client_transports
+        .into_iter()
+        .enumerate()
+        .map(|(index, transport)| {
+            let mut client = CsmClient::new(transport, Arc::clone(&registry), client_cfg.clone());
+            (0..3)
+                .filter(|&i| client.submit(index as u64, vec![1 + i]).is_ok())
+                .count()
+        })
+        .sum();
+    stop.store(true, Ordering::Relaxed);
+    for node in nodes {
+        node.join().expect("gateway thread");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(committed, 2 * 3, "the live workload must commit");
+
+    let live_shape = trace_shape(&trace.phase_log(), &trace.value_log());
+    assert_eq!(chaos_shape.0, live_shape.0, "phase sets differ");
+    for phase in [
+        Phase::Consensus,
+        Phase::Execute,
+        Phase::Exchange,
+        Phase::Decode,
+        Phase::WalFsync,
+        Phase::Reply,
+        Phase::Round,
+    ] {
+        assert!(live_shape.0.contains(&phase), "no {phase:?} span");
+    }
+    assert_eq!(chaos_shape.1, live_shape.1, "value names differ");
+    for name in ["slack.exchange", "slack.consensus"] {
+        assert!(live_shape.1.contains(name), "no {name} value");
+    }
+}
